@@ -726,8 +726,10 @@ fn parse_optimizer(obj: &[(String, Json)]) -> Result<Optimizer, BadRequest> {
             let p = v
                 .as_f64()
                 .ok_or_else(|| BadRequest::new("percentile must be a number"))?;
-            if !(0.0..=1.0).contains(&p) {
-                return Err(BadRequest::new("percentile must be in [0, 1]"));
+            // Open interval, as `Objective::from_wire` enforces: the 0th
+            // and 100th percentiles are not objectives.
+            if !(p > 0.0 && p < 1.0) {
+                return Err(BadRequest::new("percentile must be in (0, 1)"));
             }
             p
         }
@@ -843,6 +845,28 @@ mod tests {
             .handle_line("{\"op\":\"what_if\",\"session\":\"s\",\"gate\":\"nope\",\"delta_w\":1}")
             .expect("a response");
         assert!(response.contains("unknown_gate"), "{response}");
+    }
+
+    #[test]
+    fn percentile_endpoints_are_rejected_and_the_server_keeps_answering() {
+        let mut server = Server::new();
+        server.handle_line("{\"op\":\"load\",\"design\":\"c17\"}");
+        for p in ["0", "1"] {
+            let line = format!(
+                "{{\"op\":\"open\",\"session\":\"s\",\"design\":\"c17\",\"percentile\":{p}}}"
+            );
+            let response = server.handle_line(&line).expect("a response");
+            assert!(
+                response.contains("\"ok\":false") && response.contains("bad_request"),
+                "percentile {p}: {response}"
+            );
+        }
+        let response = server
+            .handle_line(
+                "{\"op\":\"open\",\"session\":\"s\",\"design\":\"c17\",\"percentile\":0.5}",
+            )
+            .expect("a response");
+        assert!(response.contains("\"ok\":true"), "{response}");
     }
 
     #[test]

@@ -34,6 +34,18 @@
 //! every worker prunes against the freshest exact sensitivity completed
 //! anywhere.
 //!
+//! The propagation phase evaluates the front bound *lazily*. Pruning
+//! needs only whether some front node has `Δi/Δw ≥ Max_S − slack`, not
+//! `Smx` itself, so newly computed front nodes are recorded unevaluated
+//! and the prune test evaluates them one at a time, stopping at the
+//! first witness; a front without one is pruned. Division by a positive
+//! `Δw` is monotone under rounding, so this is exactly the eager test
+//! `Smx < Max_S − slack`: every decision, and every returned bit, is the
+//! same, at a fraction of the `lattice_shift_bound` calls once the
+//! circuit balances and fronts survive many levels. Initialization
+//! (whose bounds set the claim order) and the serial sweep (whose bounds
+//! are the heap keys) need the bound's value and stay eager.
+//!
 //! The *returned selections are bit-identical to the serial sweep for
 //! every thread count*, by construction rather than by luck: a candidate
 //! is only ever pruned when its bound — hence its exact sensitivity — is
@@ -69,7 +81,10 @@ use std::sync::{Barrier, Mutex, OnceLock};
 /// the shared `Max_S` threshold at different moments, so a candidate the
 /// serial sweep pruned may complete in a parallel run and vice versa),
 /// and `levels_propagated`/`nodes_computed` vary accordingly; the
-/// returned [`Selection`]s are bit-identical regardless.
+/// returned [`Selection`]s are bit-identical regardless. The counters
+/// measure propagation, not bound evaluations: the parallel sweep
+/// evaluates a front's bound only as far as its prune test needs, while
+/// initialization and the serial sweep evaluate every front node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Number of candidate gates considered (all gates in the circuit).
@@ -130,40 +145,76 @@ const PRUNE_SLACK: f64 = 1e-6;
 struct Candidate<'a> {
     gate: GateId,
     walk: ConeWalk<'a>,
-    /// `Δi` per active front node.
-    deltas: HashMap<TimingNode, f64>,
-    /// Current bound `Smx = Δmx/Δw` (valid once initialization finished).
+    /// `Δi` per active front node; `None` until the node's bound is
+    /// first needed (the parallel sweep evaluates lazily).
+    deltas: HashMap<TimingNode, Option<f64>>,
+    /// Current bound `Smx = Δmx/Δw` — valid after
+    /// [`refresh_bound`](Candidate::refresh_bound), stale after a
+    /// [`record`](Candidate::record) on its own.
     smx: f64,
 }
 
 impl<'a> Candidate<'a> {
-    /// Folds one propagation step into the front: compute `Δi` for newly
-    /// computed nodes, drop retired ones, refresh the bound.
-    fn absorb(&mut self, report: &StepReport, base: &SstaAnalysis, delta_w: f64) {
+    /// Folds one propagation step into the front: record newly computed
+    /// nodes unevaluated and drop retired ones.
+    fn record(&mut self, report: &StepReport) {
         for &node in &report.computed {
-            if node == TimingNode::SINK {
-                continue; // the sink's exact δ is handled by the caller
+            if node != TimingNode::SINK {
+                // The sink's exact δ is handled by the caller.
+                self.deltas.insert(node, None);
             }
-            let perturbed = self
-                .walk
-                .perturbed(node)
-                .expect("just-computed nodes are retained");
-            // Whole-bin shift bound: at most one lattice step looser than
-            // the interpolated shift, but provably preserved by every
-            // downstream lattice operation — this is what keeps the
-            // pruning exact on the discretized representation.
-            let delta = lattice_shift_bound(base.arrival(node), perturbed);
-            self.deltas.insert(node, delta);
         }
         for &node in &report.retired {
             self.deltas.remove(&node);
         }
+    }
+
+    /// [`record`](Candidate::record), then refresh the bound `Smx` over
+    /// the whole front — the eager form, for callers that need the
+    /// bound's value.
+    fn absorb(&mut self, report: &StepReport, base: &SstaAnalysis, delta_w: f64) {
+        self.record(report);
+        self.refresh_bound(base, delta_w);
+    }
+
+    /// Evaluates every front node and sets `smx` to `Δmx/Δw`.
+    fn refresh_bound(&mut self, base: &SstaAnalysis, delta_w: f64) {
         let delta_mx = self
             .deltas
-            .values()
-            .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+            .iter_mut()
+            .map(|(&node, delta)| *delta.get_or_insert_with(|| front_delta(&self.walk, base, node)))
+            .fold(f64::NEG_INFINITY, f64::max);
         self.smx = delta_mx / delta_w;
     }
+
+    /// The prune test without the bound's value: true when some front
+    /// node has `Δi/Δw ≥ t`, i.e. exactly when `Smx ≥ t` (dividing by a
+    /// positive `Δw` is monotone under rounding, so the max commutes with
+    /// it; the max of an empty front is `−∞`, which meets `t = −∞`).
+    /// Already-evaluated nodes are tried first; unevaluated ones are
+    /// evaluated one at a time and the search stops at the first witness.
+    fn has_witness(&mut self, base: &SstaAnalysis, delta_w: f64, t: f64) -> bool {
+        if t == f64::NEG_INFINITY || self.deltas.values().flatten().any(|&d| d / delta_w >= t) {
+            return true;
+        }
+        self.deltas.iter_mut().any(|(&node, delta)| {
+            delta.is_none() && {
+                let d = *delta.insert(front_delta(&self.walk, base, node));
+                d / delta_w >= t
+            }
+        })
+    }
+}
+
+/// `Δi` of one front node: the whole-bin shift bound, at most one
+/// lattice step looser than the interpolated shift but provably
+/// preserved by every downstream lattice operation — this is what keeps
+/// the pruning exact on the discretized representation.
+fn front_delta(walk: &ConeWalk<'_>, base: &SstaAnalysis, node: TimingNode) -> f64 {
+    let perturbed = walk
+        .perturbed(node)
+        .expect("front nodes keep their perturbed arrivals");
+    lattice_shift_bound(base.arrival(node), perturbed)
 }
 
 /// Max-heap entry ordered by bound (descending), ties toward the lower
@@ -647,7 +698,7 @@ impl PrunedSelector {
                     // enter the top k. A stale (lagging) threshold read
                     // only delays pruning — it can never prune a
                     // candidate the final threshold would keep.
-                    if cand.smx < threshold.get() - PRUNE_SLACK {
+                    if !cand.has_witness(base, self.delta_w, threshold.get() - PRUNE_SLACK) {
                         local.pruned += 1;
                         cand.walk.recycle_into(&mut scratch);
                         break;
@@ -658,7 +709,7 @@ impl PrunedSelector {
                         .expect("unfinished candidates always have pending levels");
                     local.levels_propagated += 1;
                     local.nodes_computed += report.computed.len();
-                    cand.absorb(&report, base, self.delta_w);
+                    cand.record(&report);
 
                     if let Some(sink) = cand.walk.sink_arrival() {
                         // Front reached the sink: exact sensitivity,
@@ -790,6 +841,80 @@ mod tests {
                 "threads={threads}: every candidate ends exactly one way"
             );
             assert_eq!(stats.candidates, serial_stats.candidates);
+        }
+    }
+
+    /// The thresholds the lazy test must agree on for a front whose
+    /// bounds are `values`: `−∞`, 0, every value and one ulp either side.
+    fn probe_thresholds(values: &[f64]) -> Vec<f64> {
+        let mut ts = vec![f64::NEG_INFINITY, 0.0, 0.0f64.next_down(), 0.0f64.next_up()];
+        for &v in values {
+            ts.extend([v.next_down(), v, v.next_up()]);
+        }
+        ts
+    }
+
+    #[test]
+    fn lazy_prune_test_agrees_with_the_eager_bound() {
+        let nl = generator::generate_iscas("c432", 5).unwrap();
+        let lib = CellLibrary::synthetic_180nm();
+        let mut circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 2.0);
+        let obj = Objective::percentile(0.99);
+        for _ in 0..3 {
+            let best = PrunedSelector::new(1.0).select(&circuit, obj).unwrap();
+            circuit.commit_resize(best.gate, 1.0);
+        }
+        // A Δw other than 1, so the division is not the identity.
+        let selector = PrunedSelector::new(0.7);
+        let base = circuit.ssta();
+        let mut scratch = DistScratch::new();
+        let mut stats = PruneStats::default();
+        let mut levels = 0;
+        for gate in circuit.netlist().gate_ids().step_by(9) {
+            let mut cand = selector.initialize_candidate(&circuit, gate, &mut scratch, &mut stats);
+            while cand.walk.sink_arrival().is_none() {
+                let report = cand.walk.step_level_with(&mut scratch).unwrap();
+                cand.record(&report);
+                // Two lazy states: as the sweep leaves them (older nodes
+                // evaluated, new ones not) and with nothing evaluated.
+                let recorded = cand.deltas.clone();
+                let cold: HashMap<_, _> = recorded.keys().map(|&n| (n, None)).collect();
+                cand.refresh_bound(base, selector.delta_w);
+                let smx = cand.smx;
+                let values: Vec<f64> = cand
+                    .deltas
+                    .values()
+                    .map(|d| d.unwrap() / selector.delta_w)
+                    .collect();
+                for t in probe_thresholds(&values) {
+                    for lazy in [&recorded, &cold] {
+                        cand.deltas = lazy.clone();
+                        assert_eq!(
+                            cand.has_witness(base, selector.delta_w, t),
+                            smx >= t,
+                            "gate {gate:?}, level {}, t = {t:e}, smx = {smx:e}",
+                            report.level
+                        );
+                    }
+                }
+                cand.refresh_bound(base, selector.delta_w);
+                levels += 1;
+            }
+        }
+        assert!(levels > 50, "too few fronts probed: {levels}");
+
+        // The empty front: its bound is −∞ in both forms.
+        let gate = circuit.netlist().gate_ids().next().unwrap();
+        let mut empty = selector.initialize_candidate(&circuit, gate, &mut scratch, &mut stats);
+        empty.deltas.clear();
+        empty.refresh_bound(base, selector.delta_w);
+        assert_eq!(empty.smx, f64::NEG_INFINITY);
+        for t in probe_thresholds(&[1.0, -1.0]) {
+            assert_eq!(
+                empty.has_witness(base, selector.delta_w, t),
+                empty.smx >= t,
+                "empty front, t = {t:e}"
+            );
         }
     }
 

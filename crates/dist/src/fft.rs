@@ -216,9 +216,20 @@ pub fn fft_convolve(a: &[f64], b: &[f64], out: &mut Vec<f64>, scratch: &mut Dist
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// [`FFT_CALLS`] is process-global and tests run on parallel threads:
+    /// every FFT in these tests runs under this lock, so the test that
+    /// counts calls sees only its own.
+    static FFT_COUNTER: Mutex<()> = Mutex::new(());
+
+    fn lock_fft_counter() -> MutexGuard<'static, ()> {
+        FFT_COUNTER.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn fft_convolve_matches_exact_within_certificate() {
+        let _counting = lock_fft_counter();
         let a: Vec<f64> = (0..300)
             .map(|i| 1.0 / 300.0 + (i % 7) as f64 * 1e-4)
             .collect();
@@ -248,6 +259,7 @@ mod tests {
 
     #[test]
     fn point_masses_convolve_exactly_enough() {
+        let _fft = lock_fft_counter();
         let mut scratch = DistScratch::new();
         let mut out = Vec::new();
         let total = fft_convolve(&[1.0], &[0.5, 0.5], &mut out, &mut scratch);

@@ -13,6 +13,16 @@ use statsize_dist::{
     certified_fft_error_bound, convolve_with_backend, fft_convolutions, fft_convolve, Dist,
     DistScratch, KernelBackend, TierPolicy,
 };
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The FFT call counter is process-global and tests run on parallel
+/// threads: every FFT in this file runs under this lock, so the test that
+/// counts calls sees only its own.
+static FFT_COUNTER: Mutex<()> = Mutex::new(());
+
+fn lock_fft_counter() -> MutexGuard<'static, ()> {
+    FFT_COUNTER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Deterministic irregular mass vector with interior zeros: an LCG over
 /// the bin index, salted per vector.
@@ -153,6 +163,7 @@ fn fft_vs_exact(a: &[f64], b: &[f64]) -> (f64, f64) {
     let mut exact = Vec::new();
     convolve_with_backend(KernelBackend::Scalar, a, b, &mut exact);
     let mut got = Vec::new();
+    let _fft = lock_fft_counter();
     fft_convolve(a, b, &mut got, &mut scratch);
     assert_eq!(got.len(), exact.len());
     let worst = got
@@ -236,6 +247,7 @@ fn fft_certified_bound_holds_on_adversarial_masses() {
 /// FFT-call counter observes exactly the routed convolutions.
 #[test]
 fn tiered_convolve_routes_and_certifies_at_the_dist_level() {
+    let _counting = lock_fft_counter();
     let a = Dist::new(1.0, 0, prob_mass(3000, 5)).unwrap();
     let b = Dist::new(1.0, 50, prob_mass(2500, 9)).unwrap();
     let exact = a.convolve(&b);

@@ -11,7 +11,7 @@ use statsize::{BruteForceSelector, Objective, PruneStats, PrunedSelector, TimedC
 use statsize_cells::{CellLibrary, VariationModel};
 use statsize_netlist::generator;
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
 
 fn assert_stats_invariant(stats: &PruneStats, ctx: &str) {
     assert_eq!(
@@ -22,17 +22,23 @@ fn assert_stats_invariant(stats: &PruneStats, ctx: &str) {
 }
 
 /// Serial-vs-parallel bit-identity of `select` and `select_top_k` on one
-/// generated ISCAS profile, plus the stats invariant at every thread
-/// count.
-fn check_pruned_profile(name: &str, seed: u64, dt: f64, k: usize) {
+/// generated ISCAS profile, after `descent` rounds of committing the
+/// serial top 3, plus the stats invariant at every thread count. Returns
+/// the serial `select` stats.
+fn check_pruned_profile(name: &str, seed: u64, dt: f64, k: usize, descent: usize) -> PruneStats {
     let nl = generator::generate_iscas(name, seed).unwrap();
     let lib = CellLibrary::synthetic_180nm();
-    let circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), dt);
+    let mut circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), dt);
     let obj = Objective::percentile(0.99);
     let selector = PrunedSelector::new(1.0);
+    for _ in 0..descent {
+        for s in selector.with_threads(1).select_top_k(&circuit, obj, 3) {
+            circuit.commit_resize(s.gate, 1.0);
+        }
+    }
 
     let (want_best, serial_stats) = selector.with_threads(1).select_with_stats(&circuit, obj);
-    let want_best = want_best.expect("minimum-size profiles always have an improving gate");
+    let want_best = want_best.expect("the profiles under test still have an improving gate");
     assert_stats_invariant(&serial_stats, &format!("{name}: serial"));
     let want_top = selector.with_threads(1).select_top_k(&circuit, obj, k);
     assert_eq!(
@@ -58,11 +64,12 @@ fn check_pruned_profile(name: &str, seed: u64, dt: f64, k: usize) {
             "{name}: select_top_k({k}) must be bit-identical at {threads} threads"
         );
     }
+    serial_stats
 }
 
 #[test]
 fn pruned_parallel_is_bit_identical_on_c432() {
-    check_pruned_profile("c432", 1, 2.0, 4);
+    check_pruned_profile("c432", 1, 2.0, 4, 0);
 }
 
 #[test]
@@ -70,7 +77,20 @@ fn pruned_parallel_is_bit_identical_on_c880() {
     // Coarser lattice than the bench profile: identical code paths and
     // scheduling behavior, smaller supports, so the debug-mode suite
     // stays fast.
-    check_pruned_profile("c880", 1, 3.0, 4);
+    check_pruned_profile("c880", 1, 3.0, 4, 0);
+}
+
+#[test]
+fn pruned_parallel_is_bit_identical_on_c432_after_descent() {
+    // Unsized circuits prune nearly every front against the first
+    // completed sensitivity (about 98% on this profile). After some
+    // descent the circuit balances: fewer fronts prune, more complete,
+    // and the surviving fronts trade bound witnesses level by level.
+    let stats = check_pruned_profile("c432", 1, 3.0, 3, 16);
+    assert!(
+        stats.pruned_fraction() < 0.9,
+        "expected the low-pruning regime, got {stats:?}"
+    );
 }
 
 #[test]
