@@ -41,9 +41,9 @@ fn bench_selection(c: &mut Criterion) {
     }
 }
 
-/// The work-stealing parallel pruned sweep across thread counts — the
-/// `t1` row is the serial best-bound-first reference, so the group reads
-/// directly as a scaling curve (selections are bit-identical throughout).
+/// The work-stealing pruned sweep across thread counts — the `t1` row is
+/// the same sweep on one worker, so the group reads directly as a
+/// scaling curve (selections are bit-identical throughout).
 fn bench_parallel_selection(c: &mut Criterion) {
     let lib = CellLibrary::synthetic_180nm();
     let variation = VariationModel::paper_default();

@@ -317,10 +317,10 @@ fn main() {
         );
     }
 
-    // One whole pruned selection sweep per thread count: `t1` is the
-    // serial best-bound-first reference, `t2`/`t4`/`t8` the work-stealing
-    // parallel sweep (bit-identical selections; only the wall clock and
-    // the prune/complete split change). The `--compare` column against a
+    // One whole pruned selection sweep per thread count: `t1` runs the
+    // claim-order sweep on one worker, `t2`/`t4`/`t8` the same sweep
+    // with work stealing across workers (bit-identical selections; only
+    // the wall clock and the prune/complete split change). The `--compare` column against a
     // committed baseline is how the speedup is tracked across PRs.
     for circuit in ["c432", "c880"] {
         let nl = suite::build_circuit(circuit, 1);

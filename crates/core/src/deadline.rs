@@ -3,8 +3,8 @@
 //! A [`Deadline`] is a plain wall-clock cut-off checked *cooperatively*
 //! at sweep and iteration boundaries — no OS timers, no signals, no
 //! thread cancellation. Each selector polls the deadline at its natural
-//! work-item granularity (one front level, one cone walk, one heap pop),
-//! so an expired deadline surfaces within one bounded unit of work and
+//! work-item granularity (one front level, one cone walk), so an
+//! expired deadline surfaces within one bounded unit of work and
 //! every worker unwinds cleanly through the normal return path. The
 //! [`Optimizer`](crate::Optimizer) threads one deadline through every
 //! selector call of a run and reports

@@ -21,8 +21,8 @@
 //! Everything here is *schedule-independent by construction*: the value
 //! read from [`SharedMax`] only ever lags the true threshold (pruning
 //! less, never wrongly), and the reduction of per-worker results is
-//! performed with the same deterministic ordering the serial sweeps use —
-//! so results are bit-identical for every thread count.
+//! performed in one deterministic order — so results are bit-identical
+//! for every thread count.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,8 +35,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 pub const THREADS_ENV: &str = "STATSIZE_SELECTOR_THREADS";
 
 /// The default selector thread count: [`THREADS_ENV`] when set to a
-/// positive integer, otherwise 1 (serial — parallelism is opt-in so the
-/// serial reference path stays the default).
+/// positive integer, otherwise 1 (one worker — parallelism is opt-in).
 ///
 /// Read afresh on every selector construction (not snapshotted at first
 /// use), so setting the variable mid-process affects selectors built

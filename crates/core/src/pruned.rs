@@ -5,11 +5,11 @@
 //! (`Initialize`, Figure 7) and its sensitivity bound `Smx = Δmx/Δw`
 //! computed, where `Δmx` is the maximum percentile shift over the active
 //! front — by Theorems 1–4 an upper bound on the candidate's exact
-//! sensitivity `Sx`. Fronts are then advanced best-bound-first, one level
-//! at a time (`PropagateOneLevel`, Figure 9); whenever a front reaches the
-//! sink its exact `Sx` is known and every candidate with `Smx < Max_S` is
-//! pruned without further propagation (Figure 6, step 20). Because bounds
-//! only shrink as fronts advance, the surviving argmax is exactly the
+//! sensitivity `Sx`. Fronts are then advanced one level at a time
+//! (`PropagateOneLevel`, Figure 9); whenever a front reaches the sink its
+//! exact `Sx` is known and every candidate with `Smx < Max_S` is pruned
+//! without further propagation (Figure 6, step 20). Because bounds only
+//! shrink as fronts advance, the surviving argmax is exactly the
 //! brute-force argmax.
 //!
 //! Soundness note: past the front, propagation merges with *unperturbed*
@@ -19,20 +19,26 @@
 //! `max(Smx, 0) < Max_S` whenever `Max_S > 0`, and with `Max_S = 0` a
 //! pruned candidate provably has no positive sensitivity.
 //!
-//! # Parallel sweep
+//! # Sweep
 //!
-//! With [`with_threads`](PrunedSelector::with_threads) `> 1` the sweep
-//! runs as a two-phase work-stealing scan (infrastructure in the crate's
+//! Figure 6 advances fronts best-bound-first through a global heap. This
+//! module keeps the pruning rule and replaces only that order: fronts are
+//! *claimed* in descending initial bound (ties toward the lower gate
+//! index), and each claimed front is advanced until it reaches the sink
+//! or is pruned. The strongest candidates still complete first and raise
+//! `Max_S` for everyone else, but only one front per worker grows at a
+//! time, where a global heap keeps every front alive and growing at once.
+//!
+//! The sweep is the same at every thread count, one included. It runs as
+//! a two-phase work-stealing scan (infrastructure in the crate's
 //! `parallel` module) inside a *single* spawn of the worker pool:
 //! workers steal candidates from a shared atomic cursor and initialize
 //! every front, rendezvous at a barrier (whose leader publishes the
-//! descending-initial-bound claim order — the parallel analogue of the
-//! serial heap's best-bound-first discipline), then roll straight into
-//! the propagation phase on the same threads, keeping each worker's
-//! scratch pool warm across the phase boundary. The live threshold is
-//! the paper's `Max_S` published through an atomic monotone max, so
-//! every worker prunes against the freshest exact sensitivity completed
-//! anywhere.
+//! claim order), then roll straight into the propagation phase on the
+//! same threads, keeping each worker's scratch pool warm across the
+//! phase boundary. The live threshold is the paper's `Max_S` published
+//! through an atomic monotone max, so every worker prunes against the
+//! freshest exact sensitivity completed anywhere.
 //!
 //! The propagation phase evaluates the front bound *lazily*. Pruning
 //! needs only whether some front node has `Δi/Δw ≥ Max_S − slack`, not
@@ -42,21 +48,21 @@
 //! `Δw` is monotone under rounding, so this is exactly the eager test
 //! `Smx < Max_S − slack`: every decision, and every returned bit, is the
 //! same, at a fraction of the `lattice_shift_bound` calls once the
-//! circuit balances and fronts survive many levels. Initialization
-//! (whose bounds set the claim order) and the serial sweep (whose bounds
-//! are the heap keys) need the bound's value and stay eager.
+//! circuit balances and fronts survive many levels. Only initialization,
+//! whose bounds set the claim order, needs the bound's value and
+//! evaluates it eagerly.
 //!
-//! The *returned selections are bit-identical to the serial sweep for
-//! every thread count*, by construction rather than by luck: a candidate
-//! is only ever pruned when its bound — hence its exact sensitivity — is
-//! strictly below the threshold at some moment, and the threshold never
-//! exceeds the final k-th best sensitivity. Every true top-k member
-//! therefore completes under *any* schedule, with a sensitivity computed
-//! by the same deterministic lattice operations, and the final reduction
-//! sorts by (sensitivity, lowest gate id) — a total order. Only the
-//! [`PruneStats`] *counters* are schedule-dependent: which candidates get
-//! pruned versus completed depends on when each worker observes `Max_S`
-//! (the invariant `pruned + completed == candidates` always holds).
+//! The *returned selections equal brute force's for every claim order
+//! and every thread count*, by construction rather than by luck: a
+//! candidate is only ever pruned when its bound — hence its exact
+//! sensitivity — is strictly below the threshold at some moment, and the
+//! threshold never exceeds the final k-th best sensitivity. Every true
+//! top-k member therefore completes under *any* schedule, with a
+//! sensitivity computed by the same deterministic lattice operations,
+//! and the final reduction sorts by (sensitivity, lowest gate id) — a
+//! total order. Only the [`PruneStats`] *counters* depend on the
+//! schedule, and only with more than one worker (the invariant
+//! `pruned + completed == candidates` always holds).
 
 use crate::circuit::TimedCircuit;
 use crate::deadline::{Deadline, DeadlineExceeded};
@@ -66,8 +72,7 @@ use crate::selection::Selection;
 use statsize_dist::{lattice_shift_bound, DistScratch, TierPolicy};
 use statsize_netlist::GateId;
 use statsize_ssta::{ConeWalk, SstaAnalysis, StepReport, TimingNode};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Barrier, Mutex, OnceLock};
 
@@ -76,15 +81,16 @@ use std::sync::{Barrier, Mutex, OnceLock};
 /// candidate nodes are pruned").
 ///
 /// Invariant: `pruned + completed == candidates` — every candidate front
-/// ends exactly one way. Under the parallel sweep the *split* between the
-/// two counters may differ from the serial sweep's (each worker observes
-/// the shared `Max_S` threshold at different moments, so a candidate the
-/// serial sweep pruned may complete in a parallel run and vice versa),
-/// and `levels_propagated`/`nodes_computed` vary accordingly; the
-/// returned [`Selection`]s are bit-identical regardless. The counters
-/// measure propagation, not bound evaluations: the parallel sweep
-/// evaluates a front's bound only as far as its prune test needs, while
-/// initialization and the serial sweep evaluate every front node.
+/// ends exactly one way. With one worker thread the sweep's schedule is
+/// fixed, so every counter repeats exactly across runs. With more workers
+/// the *split* between the two counters may vary from run to run (each
+/// worker observes the shared `Max_S` threshold at different moments, so
+/// a candidate pruned in one run may complete in another), and
+/// `levels_propagated`/`nodes_computed` vary accordingly; the returned
+/// [`Selection`]s are bit-identical regardless. The counters measure
+/// propagation, not bound evaluations: the sweep evaluates a front's
+/// bound only as far as its prune test needs, while initialization
+/// evaluates every node of the initial front.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Number of candidate gates considered (all gates in the circuit).
@@ -146,7 +152,7 @@ struct Candidate<'a> {
     gate: GateId,
     walk: ConeWalk<'a>,
     /// `Δi` per active front node; `None` until the node's bound is
-    /// first needed (the parallel sweep evaluates lazily).
+    /// first needed (the sweep evaluates lazily).
     deltas: HashMap<TimingNode, Option<f64>>,
     /// Current bound `Smx = Δmx/Δw` — valid after
     /// [`refresh_bound`](Candidate::refresh_bound), stale after a
@@ -169,15 +175,8 @@ impl<'a> Candidate<'a> {
         }
     }
 
-    /// [`record`](Candidate::record), then refresh the bound `Smx` over
-    /// the whole front — the eager form, for callers that need the
-    /// bound's value.
-    fn absorb(&mut self, report: &StepReport, base: &SstaAnalysis, delta_w: f64) {
-        self.record(report);
-        self.refresh_bound(base, delta_w);
-    }
-
-    /// Evaluates every front node and sets `smx` to `Δmx/Δw`.
+    /// Evaluates every front node and sets `smx` to `Δmx/Δw` — the eager
+    /// form, for callers that need the bound's value.
     fn refresh_bound(&mut self, base: &SstaAnalysis, delta_w: f64) {
         let delta_mx = self
             .deltas
@@ -217,32 +216,6 @@ fn front_delta(walk: &ConeWalk<'_>, base: &SstaAnalysis, node: TimingNode) -> f6
     lattice_shift_bound(base.arrival(node), perturbed)
 }
 
-/// Max-heap entry ordered by bound (descending), ties toward the lower
-/// gate index, using the IEEE total order for determinism.
-struct HeapEntry {
-    smx: f64,
-    idx: usize,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.smx
-            .total_cmp(&other.smx)
-            .then(other.idx.cmp(&self.idx))
-    }
-}
-
 /// The k-th-best pruning threshold over a best-first-sorted completed
 /// list (the paper's `Max_S` when `k = 1`), never below 0.
 fn threshold_of(completed: &[Selection], k: usize) -> f64 {
@@ -256,7 +229,7 @@ fn threshold_of(completed: &[Selection], k: usize) -> f64 {
 impl PrunedSelector {
     /// Creates a selector with the given trial width increment `Δw`.
     ///
-    /// The sweep runs serially by default; see
+    /// The sweep runs on one worker thread by default; see
     /// [`with_threads`](Self::with_threads) (and the
     /// `STATSIZE_SELECTOR_THREADS` environment variable, which overrides
     /// the default for every selector).
@@ -284,10 +257,10 @@ impl PrunedSelector {
 
     /// Sets a cooperative [`Deadline`] for the sweep (default: none).
     /// The deadline is polled at candidate and front-level boundaries —
-    /// once per heap pop in the serial sweep, once per claim and per
-    /// propagated level in the parallel sweep — so an expired deadline
-    /// surfaces within one bounded unit of work. Use the `try_*` entry
-    /// points with a deadline set; the infallible ones panic on expiry.
+    /// once per initialized front and once per propagated level — so an
+    /// expired deadline surfaces within one bounded unit of work. Use the
+    /// `try_*` entry points with a deadline set; the infallible ones
+    /// panic on expiry.
     #[must_use]
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = deadline;
@@ -427,174 +400,17 @@ impl PrunedSelector {
             "pruned selection requires a shift-bounded objective; \
              use BruteForceSelector for {objective}"
         );
-        let candidates = circuit.netlist().gate_count();
-        let threads = normalize_threads(self.threads, candidates);
-        if threads > 1 {
-            self.select_top_k_parallel(circuit, objective, k, threads)
-        } else {
-            self.select_top_k_serial(circuit, objective, k)
-        }
-    }
-
-    /// Initializes one candidate front (Figure 7): temporary resize,
-    /// propagate the seed perturbations up to the gate's own level,
-    /// compute the initial bound.
-    fn initialize_candidate<'c>(
-        &self,
-        circuit: &'c TimedCircuit<'_>,
-        gate: GateId,
-        scratch: &mut DistScratch,
-        stats: &mut PruneStats,
-    ) -> Candidate<'c> {
-        let base = circuit.ssta();
-        let overrides = circuit.overrides_for_resize(gate, self.delta_w);
-        let walk =
-            ConeWalk::new(circuit.graph(), circuit.delays(), base, overrides).evicting_retired();
-        let mut cand = Candidate {
-            gate,
-            walk,
-            deltas: HashMap::new(),
-            smx: f64::NEG_INFINITY,
-        };
-        let own_level = circuit
-            .graph()
-            .level(circuit.graph().out_node_of_gate(gate));
-        while cand.walk.next_level().is_some_and(|l| l <= own_level) {
-            let report = cand
-                .walk
-                .step_level_with(scratch)
-                .expect("level observed pending");
-            stats.levels_propagated += 1;
-            stats.nodes_computed += report.computed.len();
-            cand.absorb(&report, base, self.delta_w);
-        }
-        cand
-    }
-
-    /// The serial reference sweep: best-bound-first propagation with a
-    /// global heap (Figure 6 exactly as written).
-    fn select_top_k_serial(
-        &self,
-        circuit: &TimedCircuit<'_>,
-        objective: Objective,
-        k: usize,
-    ) -> Result<(Vec<Selection>, PruneStats), DeadlineExceeded> {
-        let base = circuit.ssta();
-        let base_cost = circuit.objective_value(objective);
-        let mut stats = PruneStats {
-            candidates: circuit.netlist().gate_count(),
-            ..PruneStats::default()
-        };
-
-        // One buffer pool shared by every candidate front in this sweep:
-        // distributions retired by any front immediately serve the next
-        // propagation step, wherever it happens. The pool carries the
-        // selector's (FFT-stripped) kernel tier policy.
-        let mut scratch = DistScratch::with_policy(self.kernel_policy);
-
-        // --- Initialize every candidate (Figure 7). ---
-        let mut candidates: Vec<Option<Candidate<'_>>> = Vec::new();
-        for gate in circuit.netlist().gate_ids() {
-            self.deadline.check()?;
-            candidates.push(Some(self.initialize_candidate(
-                circuit,
-                gate,
-                &mut scratch,
-                &mut stats,
-            )));
-        }
-
-        // --- Best-bound-first propagation with pruning (Figure 6). ---
-        let mut heap: BinaryHeap<HeapEntry> = candidates
-            .iter()
-            .enumerate()
-            .map(|(idx, c)| HeapEntry {
-                smx: c.as_ref().expect("just created").smx,
-                idx,
-            })
-            .collect();
-        // Completed selections, kept sorted best-first. The pruning
-        // threshold is the k-th best completed sensitivity (the paper's
-        // `Max_S` when k = 1), never below 0.
-        let mut completed: Vec<Selection> = Vec::new();
-
-        while let Some(entry) = heap.pop() {
-            // One heap pop == at most one propagated level: the natural
-            // cooperative-deadline boundary of the serial sweep.
-            self.deadline.check()?;
-            let slot = &mut candidates[entry.idx];
-            let Some(cand) = slot.as_mut() else {
-                continue; // finished or pruned earlier (stale heap entry)
-            };
-            if entry.smx != cand.smx {
-                continue; // stale key: a fresher entry exists
-            }
-            // Prune: the bound says this candidate can never enter the
-            // top k (minus the floating-point safety slack).
-            if cand.smx < threshold_of(&completed, k) - PRUNE_SLACK {
-                stats.pruned += 1;
-                if let Some(c) = slot.take() {
-                    c.walk.recycle_into(&mut scratch);
-                }
-                continue;
-            }
-            let report = cand
-                .walk
-                .step_level_with(&mut scratch)
-                .expect("unfinished candidates always have pending levels");
-            stats.levels_propagated += 1;
-            stats.nodes_computed += report.computed.len();
-            cand.absorb(&report, base, self.delta_w);
-
-            if let Some(sink) = cand.walk.sink_arrival() {
-                // Front reached the sink: exact sensitivity.
-                let sensitivity = (base_cost - objective.value(sink)) / self.delta_w;
-                stats.completed += 1;
-                let selection = Selection {
-                    gate: cand.gate,
-                    sensitivity,
-                };
-                let pos = completed.partition_point(|existing| existing.better_than(&selection));
-                completed.insert(pos, selection);
-                if let Some(c) = slot.take() {
-                    c.walk.recycle_into(&mut scratch);
-                }
-            } else {
-                heap.push(HeapEntry {
-                    smx: cand.smx,
-                    idx: entry.idx,
-                });
-            }
-        }
-
-        completed.truncate(k);
-        completed.retain(|s| s.sensitivity > 0.0);
-        Ok((completed, stats))
-    }
-
-    /// The work-stealing parallel sweep — bit-identical selections (see
-    /// the module docs for why any pruning schedule yields the same
-    /// top-k).
-    ///
-    /// Both phases run inside a single spawn of the worker pool: each
-    /// worker initializes fronts until the init cursor drains, meets the
-    /// others at a barrier (the leader publishes the propagation claim
-    /// order there), and continues straight into the sweep with its
-    /// scratch pool — and the distributions recycled into it during
-    /// initialization — intact. Spawning once halves the thread setup
-    /// cost per selection and removes the serial gap the old
-    /// join-sort-respawn sequence put between the phases.
-    fn select_top_k_parallel(
-        &self,
-        circuit: &TimedCircuit<'_>,
-        objective: Objective,
-        k: usize,
-        threads: usize,
-    ) -> Result<(Vec<Selection>, PruneStats), DeadlineExceeded> {
+        // The claim-order sweep (module docs). Both phases run inside a
+        // single spawn of the worker pool: each worker initializes fronts
+        // until the init cursor drains, meets the others at a barrier
+        // (the leader publishes the claim order there), and continues
+        // straight into propagation with its scratch pool — and the
+        // distributions recycled into it during initialization — intact.
         let base = circuit.ssta();
         let base_cost = circuit.objective_value(objective);
         let gates: Vec<GateId> = circuit.netlist().gate_ids().collect();
         let n = gates.len();
+        let threads = normalize_threads(self.threads, n);
         let mut stats = PruneStats {
             candidates: n,
             ..PruneStats::default()
@@ -609,10 +425,8 @@ impl PrunedSelector {
         let sweep_queue = WorkQueue::new(n);
         // Propagation claim order, published by the barrier leader once
         // every front is parked: descending initial bound, ties toward
-        // the lower gate index — the parallel analogue of the serial
-        // heap's best-bound-first discipline, so the strongest candidate
-        // completes early and raises the shared threshold for everyone
-        // else.
+        // the lower gate index, so the strongest candidate completes
+        // early and raises the shared threshold for everyone else.
         let order: OnceLock<Vec<usize>> = OnceLock::new();
         let rendezvous = Barrier::new(threads);
         let threshold = SharedMax::new(0.0);
@@ -744,6 +558,42 @@ impl PrunedSelector {
         completed.retain(|s| s.sensitivity > 0.0);
         Ok((completed, stats))
     }
+
+    /// Initializes one candidate front (Figure 7): temporary resize,
+    /// propagate the seed perturbations up to the gate's own level,
+    /// compute the initial bound.
+    fn initialize_candidate<'c>(
+        &self,
+        circuit: &'c TimedCircuit<'_>,
+        gate: GateId,
+        scratch: &mut DistScratch,
+        stats: &mut PruneStats,
+    ) -> Candidate<'c> {
+        let base = circuit.ssta();
+        let overrides = circuit.overrides_for_resize(gate, self.delta_w);
+        let walk =
+            ConeWalk::new(circuit.graph(), circuit.delays(), base, overrides).evicting_retired();
+        let mut cand = Candidate {
+            gate,
+            walk,
+            deltas: HashMap::new(),
+            smx: f64::NEG_INFINITY,
+        };
+        let own_level = circuit
+            .graph()
+            .level(circuit.graph().out_node_of_gate(gate));
+        while cand.walk.next_level().is_some_and(|l| l <= own_level) {
+            let report = cand
+                .walk
+                .step_level_with(scratch)
+                .expect("level observed pending");
+            stats.levels_propagated += 1;
+            stats.nodes_computed += report.computed.len();
+            cand.record(&report);
+        }
+        cand.refresh_bound(base, self.delta_w);
+        cand
+    }
 }
 
 #[cfg(test)]
@@ -825,13 +675,14 @@ mod tests {
 
     #[test]
     fn parallel_sweep_matches_serial_bit_for_bit() {
+        // Brute force is the reference: every thread count, one included,
+        // runs the same claim-order sweep.
         let nl = shapes::grid("g", 4, 5);
         let lib = CellLibrary::synthetic_180nm();
         let circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 1.0);
         let obj = Objective::percentile(0.99);
-        let serial = PrunedSelector::new(1.0).with_threads(1);
-        let (want_top, serial_stats) = serial.select_top_k_with_stats(&circuit, obj, 3);
-        for threads in [2, 3, 8, 999] {
+        let want_top = BruteForceSelector::new(1.0).select_top_k(&circuit, obj, 3);
+        for threads in [1, 2, 3, 8, 999] {
             let par = PrunedSelector::new(1.0).with_threads(threads);
             let (got_top, stats) = par.select_top_k_with_stats(&circuit, obj, 3);
             assert_eq!(want_top, got_top, "threads={threads}");
@@ -840,8 +691,32 @@ mod tests {
                 stats.candidates,
                 "threads={threads}: every candidate ends exactly one way"
             );
-            assert_eq!(stats.candidates, serial_stats.candidates);
+            assert_eq!(stats.candidates, nl.gate_count());
         }
+    }
+
+    #[test]
+    fn one_thread_stats_repeat_exactly() {
+        // One worker fixes the schedule, so every counter — not just the
+        // selection — repeats across runs, also after descent, where
+        // fronts trade witnesses level by level.
+        let nl = generator::generate_iscas("c432", 5).unwrap();
+        let lib = CellLibrary::synthetic_180nm();
+        let mut circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 2.0);
+        let obj = Objective::percentile(0.99);
+        let selector = PrunedSelector::new(1.0).with_threads(1);
+        for _ in 0..4 {
+            let best = selector.select(&circuit, obj).unwrap();
+            circuit.commit_resize(best.gate, 1.0);
+        }
+        let first = selector.select_top_k_with_stats(&circuit, obj, 2);
+        let second = selector.select_top_k_with_stats(&circuit, obj, 2);
+        assert_eq!(first, second);
+        assert!(
+            first.1.completed > 1,
+            "expected a contested sweep: {:?}",
+            first.1
+        );
     }
 
     /// The thresholds the lazy test must agree on for a front whose
@@ -920,7 +795,7 @@ mod tests {
 
     #[test]
     fn thread_knob_normalizes_degenerate_counts() {
-        // 0 threads is a degenerate request: clamped to 1, runs serially.
+        // 0 threads is a degenerate request: clamped to 1.
         let sel = PrunedSelector::new(1.0).with_threads(0);
         assert_eq!(sel.threads(), 1);
         // More threads than candidates: capped at the candidate count at

@@ -10,7 +10,9 @@
 //! The failpoint registry is process-global (campaign workers run on
 //! plain threads), so every test here arms with a detail filter unique
 //! to its own corpus — concurrently running tests cannot trip each
-//! other's faults.
+//! other's faults. The WAL tests share one script, whose record kinds
+//! and line numbers are the filters, so they run one at a time under
+//! [`lock_wal`].
 #![cfg(feature = "failpoints")]
 
 use statsize::failpoint::{arm, FaultAction};
@@ -21,6 +23,7 @@ use statsize_bench::serve::Server;
 use statsize_cells::CellLibrary;
 use statsize_netlist::bench;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// A two-job corpus whose names embed `tag`, so each test's armed
@@ -200,6 +203,15 @@ const WAL_SCRIPT: [&str; 6] = [
     r#"{"id":6,"op":"commit","session":"main","gate":"16","delta_w":1}"#,
 ];
 
+/// Every test that arms a `wal::*` site or drives a WAL holds this lock:
+/// one test's `wal::append@step` must not tear the other's `step` record,
+/// nor its `wal::replay@4` tear the other's read-back.
+static WAL_TESTS: Mutex<()> = Mutex::new(());
+
+fn lock_wal() -> MutexGuard<'static, ()> {
+    WAL_TESTS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn drive(server: &mut Server, lines: &[&str]) -> Vec<String> {
     lines
         .iter()
@@ -212,6 +224,7 @@ fn injected_torn_wal_append_recovers_to_the_durable_prefix() {
     // Rig the WAL writer to crash mid-write on the first `step` record:
     // half the line's bytes land (no newline) and the writer goes
     // permanently quiet, exactly like a process killed inside `write`.
+    let _wal = lock_wal();
     let dir = scratch_dir("wal-append");
     let path = dir.join("serve.wal");
     let _fp = arm("wal::append", Some("step"), FaultAction::Trigger);
@@ -245,6 +258,7 @@ fn injected_read_time_corruption_truncates_the_wal_history() {
     // Write a healthy WAL, then rig the *reader* to tear line 4 (the
     // commit record — the header is line 1). Everything from the tear on
     // is quarantined: history cannot be trusted past a torn line.
+    let _wal = lock_wal();
     let dir = scratch_dir("wal-replay");
     let path = dir.join("serve.wal");
     let mut server = Server::new().with_wal(Wal::create(&path).expect("create WAL"));
